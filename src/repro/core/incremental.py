@@ -82,6 +82,9 @@ class IncrementalSelNet:
         # it touched, instead of rebuilding a fresh oracle per operation.
         self._delta = DeltaOracle(self.data, self.distance)
         self._baseline_mae = self._validation_mae()
+        # One seeded generator shuffles every fine-tune, so an update stream
+        # replayed from the same fit reproduces the same weights.
+        self._shuffle_rng = np.random.default_rng(self.estimator.config.seed)
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -101,6 +104,7 @@ class IncrementalSelNet:
             self.train.selectivities,
             batch_size=self.config.batch_size,
             shuffle=True,
+            rng=self._shuffle_rng,
         )
         best_mae = self._validation_mae()
         best_state = model.state_dict()

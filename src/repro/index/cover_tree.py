@@ -65,14 +65,6 @@ class BallRegion:
     def size(self) -> int:
         return int(len(self.point_indices))
 
-    def intersects_query(self, query_center_distance: float, threshold: float) -> bool:
-        """Whether the query ball ``B(x, t)`` intersects this region.
-
-        By the triangle inequality the two balls intersect iff the distance
-        between their centres is at most the sum of their radii.
-        """
-        return query_center_distance <= self.radius + threshold
-
 
 class CoverTree:
     """Simplified cover tree over a set of vectors under a metric distance.

@@ -12,18 +12,32 @@ implemented, matching the paper's Table 10 comparison:
   always all-ones (also the fallback for non-metric distances).
 * **K-means partitioning (KM)** — Lloyd's algorithm; partitions can be very
   imbalanced, which the paper identifies as the reason KM performs worst.
+
+The indicator stacks the ``R`` ball regions of all partitions once and
+evaluates ``f_c`` from one ``(n, R)`` query-to-center distance table, so a
+query costs ``R`` distances at one threshold or along a whole curve grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from ..distances import DistanceFunction, get_distance
-from ..distances.metrics import cosine_distance_with_norms
+from ..distances.metrics import COSINE_NORM_FLOOR, cosine_distance_with_norms
 from .cover_tree import BallRegion, CoverTree
+
+#: byte budget of each chunk of the indicator's float temporaries
+_INDICATOR_CHUNK_BYTES = 4 * 1024 * 1024
+
+
+def _chunks(total: int, item_bytes: int):
+    """Slices of ``range(total)`` holding at most the indicator byte budget."""
+    step = max(_INDICATOR_CHUNK_BYTES // max(item_bytes, 1), 1)
+    return (slice(start, start + step) for start in range(0, total, step))
 
 
 @dataclass
@@ -39,6 +53,16 @@ class Partition:
     @property
     def size(self) -> int:
         return int(len(self.point_indices))
+
+
+class _RegionTable(NamedTuple):
+    """Every partition's ball regions, stacked in partition order."""
+
+    centers: np.ndarray  # (R, dim)
+    center_norms: np.ndarray  # (R,) cosine denominators
+    radii: np.ndarray  # (R,)
+    owners: np.ndarray  # partitions with at least one region
+    starts: np.ndarray  # first region of each owner (reduceat offsets)
 
 
 class Partitioning:
@@ -92,48 +116,78 @@ class Partitioning:
 
         A partition is active when any of its ball regions intersects the
         query ball ``B(x, t)``.  For always-active partitionings the vector is
-        all ones.
+        all ones.  One-row call of :meth:`indicator_batch`.
         """
-        if self.always_active:
-            return np.ones(self.num_partitions, dtype=np.float64)
         query = np.asarray(query, dtype=np.float64)
-        out = np.zeros(self.num_partitions, dtype=np.float64)
-        for k, partition in enumerate(self.partitions):
-            if not partition.regions:
-                out[k] = 1.0
-                continue
-            centers = np.stack([region.center for region in partition.regions])
-            center_distances = self.distance(query, centers)
-            radii = np.asarray([region.radius for region in partition.regions])
-            if np.any(center_distances <= radii + threshold):
-                out[k] = 1.0
-        return out
+        return self.indicator_batch(query[None, :], np.asarray([threshold], dtype=np.float64))[0]
 
     def indicator_batch(self, queries: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """Vector of indicators for aligned query / threshold arrays.
+        """Indicators for a batch of queries, each at one or many thresholds.
 
-        Vectorised over the batch: instead of one :meth:`indicator` call per
-        row (O(rows x regions) Python iterations), the loop runs over the
-        ball regions — a handful per partition — and each region tests all
-        queries in one distance kernel call.  Both distances are symmetric,
-        so ``distance(center, queries)`` matches the per-row
-        ``distance(query, centers)`` values.
+        ``(n,)`` thresholds (one per query) give ``(n, K)``; ``(n, G)``
+        thresholds (e.g. a curve grid per query) give ``(n, K, G)``.
+
+        Each query-to-center distance is computed once, into an ``(n, R)``
+        table over the ``R`` stacked ball regions, however many thresholds a
+        query has.  Region ``r`` reaches query ``i`` at threshold ``t`` when
+        ``d[i, r] <= radius[r] + t`` (the triangle-inequality test, as a
+        broadcast float comparison), and a partition is active when any of
+        its regions reaches.  The table reproduces the per-region
+        ``distance(center, queries)`` kernels bit for bit.
         """
         queries = np.asarray(queries, dtype=np.float64)
         thresholds = np.asarray(thresholds, dtype=np.float64)
-        if self.always_active:
-            return np.ones((len(queries), self.num_partitions), dtype=np.float64)
-        out = np.zeros((len(queries), self.num_partitions), dtype=np.float64)
-        for k, partition in enumerate(self.partitions):
-            if not partition.regions:
-                out[:, k] = 1.0
-                continue
-            active = np.zeros(len(queries), dtype=bool)
-            for region in partition.regions:
-                distances = self.distance(region.center, queries)
-                active |= distances <= region.radius + thresholds
-            out[:, k] = active
+        out = np.ones((len(queries), self.num_partitions) + thresholds.shape[1:], dtype=np.float64)
+        table = self._regions
+        if self.always_active or len(table.radii) == 0:
+            return out
+        distances, radii = self._center_distances(queries, table), table.radii
+        if thresholds.ndim == 2:
+            distances, radii = distances[:, :, None], radii[:, None]
+        thresholds = thresholds[:, None]
+        for rows in _chunks(len(queries), 8 * len(radii) * thresholds.shape[-1]):
+            reaches = distances[rows] <= radii + thresholds[rows]
+            out[rows, table.owners] = np.logical_or.reduceat(reaches, table.starts, axis=1)
         return out
+
+    @cached_property
+    def _regions(self) -> _RegionTable:
+        """The ball regions of every partition, stacked once."""
+        regions = [region for partition in self.partitions for region in partition.regions]
+        counts = np.asarray([len(p.regions) for p in self.partitions], dtype=np.int64)
+        centers = np.asarray([region.center for region in regions], dtype=np.float64)
+        return _RegionTable(
+            centers=centers.reshape(len(regions), self.data.shape[1]),
+            center_norms=np.asarray([np.linalg.norm(c) for c in centers], dtype=np.float64),
+            radii=np.asarray([region.radius for region in regions], dtype=np.float64),
+            owners=np.flatnonzero(counts),
+            starts=(np.cumsum(counts) - counts)[counts > 0],
+        )
+
+    def _center_distances(self, queries: np.ndarray, table: _RegionTable) -> np.ndarray:
+        """The ``(n, R)`` query-to-center distance table.
+
+        Bit-equal to ``self.distance(center, queries)`` per region.  The
+        Euclidean reduction runs over the same difference rows.  The cosine
+        path keeps the kernel's operand order with the query norms hoisted
+        out, and takes one GEMV per center over all rows (the stacked
+        ``matmul`` loops the GEMV of ``queries @ center``): GEMV bits depend
+        on the row count, and one ``queries @ centers.T`` GEMM changes them
+        too, so cosine chunks over centers and Euclidean over rows.
+        """
+        distances = np.empty((len(queries), len(table.radii)), dtype=np.float64)
+        if self.distance.name == "euclidean":
+            for rows in _chunks(len(queries), 8 * table.centers.size):
+                diff = queries[rows, None, :] - table.centers[None, :, :]
+                distances[rows] = np.sqrt(np.maximum(np.einsum("nrd,nrd->nr", diff, diff), 0.0))
+            return distances
+        # Cosine: the only other registered distance.
+        query_norms = np.linalg.norm(queries, axis=1)
+        for block in _chunks(len(table.radii), 8 * len(queries)):
+            dots = np.matmul(queries, table.centers[block, :, None])[:, :, 0].T
+            denom = np.maximum(table.center_norms[block] * query_norms[:, None], COSINE_NORM_FLOOR)
+            distances[:, block] = 1.0 - dots / denom
+        return distances
 
     def _partition_ids(self) -> np.ndarray:
         """Partition index of every database row (cached)."""

@@ -471,15 +471,14 @@ class CompiledPartitionedSelNet(CompiledKernel):
         grid = np.asarray(grid, dtype=self.compute_dtype)
         n, num_grid = len(queries), len(grid)
         locals_ = self.local_control_points(queries)
-        # One (n, K, G) stack of per-partition curves, one indicator batch for
-        # the full (query x grid) cross product.
+        # One (n, K, G) stack of per-partition curves and one (n, K, G)
+        # indicator stack, read off a single query-to-center distance table.
         local_curves = np.stack(
             [piecewise_linear_grid(tau, p, grid) for tau, p in locals_], axis=1
         )
-        repeated = np.repeat(queries, num_grid, axis=0)
-        tiled = np.tile(grid, n)
-        indicators = self.partitioning.indicator_batch(repeated, tiled)
-        indicators = indicators.reshape(n, num_grid, -1).transpose(0, 2, 1)  # (n, K, G)
+        indicators = self.partitioning.indicator_batch(
+            queries, np.broadcast_to(grid, (n, num_grid))
+        )
         output = (local_curves * indicators).sum(axis=1)
         return np.clip(output, 0.0, None)
 

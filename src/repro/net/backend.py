@@ -30,6 +30,7 @@ from ..cluster.backends import _service_config_kwargs, register_backend
 from ..estimator import UpdateNotSupportedError
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..obs import trace as obstrace
+from ..serving import InvalidRequestError
 from .shm import DEFAULT_SLOT_BYTES, ShmRing, SlotPool
 from .worker import shard_main
 
@@ -94,6 +95,7 @@ _TYPED_ERRORS: Dict[str, Type[BaseException]] = {
     "UpdateNotSupportedError": UpdateNotSupportedError,
     "KeyError": KeyError,
     "ValueError": ValueError,
+    "InvalidRequestError": InvalidRequestError,
 }
 
 

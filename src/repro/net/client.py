@@ -31,6 +31,7 @@ import numpy as np
 
 from ..cluster import ClusterOverloadedError
 from ..obs import trace as obstrace
+from ..serving import InvalidRequestError
 from . import protocol
 
 
@@ -39,6 +40,8 @@ def _reraise_remote(error: protocol.RemoteError) -> BaseException:
         return ClusterOverloadedError(str(error))
     if error.kind == "KeyError":
         return KeyError(str(error))
+    if error.kind == "InvalidRequestError":
+        return InvalidRequestError(str(error))
     return error
 
 

@@ -12,6 +12,7 @@ from .batching import MicroBatch, MicroBatcher, iter_microbatches
 from .cache import CachedCurve, CurveCache, query_cache_key
 from .service import (
     EstimationService,
+    InvalidRequestError,
     ModelStats,
     ServingBenchmarkReport,
     run_serving_benchmark,
@@ -19,6 +20,7 @@ from .service import (
 
 __all__ = [
     "EstimationService",
+    "InvalidRequestError",
     "ModelStats",
     "ServingBenchmarkReport",
     "run_serving_benchmark",

@@ -43,6 +43,31 @@ from .cache import DEFAULT_KEY_DECIMALS, CachedCurve, CurveCache
 PathLike = Union[str, Path]
 
 
+class InvalidRequestError(ValueError):
+    """A request refused at the service boundary, before any model or cache.
+
+    A ``ValueError``, so the HTTP front end answers 400; the binary protocol
+    and the shard backends re-raise it under its own name.
+    """
+
+
+def _check_queries(name: str, estimator: SelectivityEstimator, queries: np.ndarray) -> None:
+    expected = estimator.expected_input_dim
+    if expected is not None and queries.shape[1] != expected:
+        raise InvalidRequestError(
+            f"queries have {queries.shape[1]} dimensions but {name!r} was fitted "
+            f"on {expected}-dimensional vectors"
+        )
+    if not np.isfinite(queries).all():
+        raise InvalidRequestError("queries must be finite")
+
+
+def _cacheable(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which ``(n, len(grid))`` curve rows may enter the shared cache: a NaN
+    or inf entry would poison every later answer for its query until evicted."""
+    return np.isfinite(values).all(axis=1) & bool(np.isfinite(grid).all())
+
+
 class ModelStats:
     """One model's counters, as a view over the service's metrics registry.
 
@@ -347,6 +372,9 @@ class EstimationService:
         all thresholds of that query); with ``use_cache=False`` the call is
         routed straight through micro-batched estimator evaluation and is
         bit-identical to calling the estimator directly.
+
+        Raises :class:`InvalidRequestError` for misaligned shapes, queries
+        of the wrong dimension and non-finite queries or thresholds.
         """
         estimator = self.get(name)
         queries = np.asarray(queries, dtype=np.float64)
@@ -354,10 +382,13 @@ class EstimationService:
         if queries.size == 0 and thresholds.ndim == 1 and len(thresholds) == 0:
             return np.empty(0, dtype=np.float64)
         if queries.ndim != 2 or thresholds.ndim != 1 or len(queries) != len(thresholds):
-            raise ValueError(
+            raise InvalidRequestError(
                 f"expected aligned (n, dim) queries and (n,) thresholds, got "
                 f"{queries.shape} and {thresholds.shape}"
             )
+        _check_queries(name, estimator, queries)
+        if not np.isfinite(thresholds).all():
+            raise InvalidRequestError("thresholds must be finite")
         stats = self._model_stats(name)
         start = time.perf_counter()
         if use_cache and self.cache.capacity > 0:
@@ -498,11 +529,13 @@ class EstimationService:
         grid = self._curve_grid(estimator, float(thresholds[miss_positions].max()))
         unique_rows = [positions[0] for positions in unique.values()]
         values = self._build_curve_values(name, estimator, queries[unique_rows], grid, stats)
+        cacheable = _cacheable(grid, values)
 
         for index, positions in enumerate(unique.values()):
             curve = CachedCurve(thresholds=grid, values=values[index])
-            self.cache.put(name, queries[positions[0]], curve)
-            stats.curve_builds.inc()
+            if cacheable[index]:
+                self.cache.put(name, queries[positions[0]], curve)
+                stats.curve_builds.inc()
             for position in positions:
                 results[position] = curve(thresholds[position])
 
@@ -520,13 +553,8 @@ class EstimationService:
         estimator = self.get(name)
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
-            raise ValueError(f"queries must be a 2-D array, got shape {queries.shape}")
-        expected = estimator.expected_input_dim
-        if expected is not None and queries.shape[1] != expected:
-            raise ValueError(
-                f"queries have {queries.shape[1]} dimensions but {name!r} was fitted "
-                f"on {expected}-dimensional vectors"
-            )
+            raise InvalidRequestError(f"queries must be a 2-D array, got shape {queries.shape}")
+        _check_queries(name, estimator, queries)
         default_grid = thresholds is None
         if default_grid:
             grid = self._curve_grid(estimator, t_hi=0.0)
@@ -534,10 +562,11 @@ class EstimationService:
             grid = np.asarray(thresholds, dtype=np.float64)
         stats = self._model_stats(name)
         values = self._build_curve_values(name, estimator, queries, grid, stats)
+        cacheable = _cacheable(grid, values)
         curves: List[CachedCurve] = []
         for row in range(len(queries)):
             curve = CachedCurve(thresholds=grid, values=values[row])
-            if default_grid:
+            if default_grid and cacheable[row]:
                 self.cache.put(name, queries[row], curve)
                 stats.curve_builds.inc()
             curves.append(curve)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_persistence import FAST_PARAMS
 
+from repro import create_estimator
 from repro.autodiff import Tensor
 from repro.core import (
     IncrementalConfig,
@@ -285,6 +287,22 @@ class TestIncrementalSelNet:
         # After fine-tuning the model must still produce finite estimates.
         estimates = incremental.estimate(split.test.queries[:5], split.test.thresholds[:5])
         assert np.all(np.isfinite(estimates))
+
+    def test_fine_tune_is_reproducible_per_seed(self, tiny_cosine_split, rng):
+        """Same seed, same insert batch: bit-equal estimates after fine-tuning."""
+        inserts = rng.standard_normal((3, tiny_cosine_split.test.queries.shape[1]))
+        queries = tiny_cosine_split.test.queries
+        thresholds = tiny_cosine_split.test.thresholds
+        answers = []
+        for _ in range(2):
+            estimator = create_estimator(
+                "selnet-inc",
+                **dict(FAST_PARAMS["selnet-inc"], seed=0, update_mae_drift_threshold=-1.0),
+            ).fit(tiny_cosine_split)
+            reports = estimator.update(inserts=inserts.copy())
+            assert reports[0].retrained and reports[0].fine_tune_epochs >= 1
+            answers.append(np.asarray(estimator.estimate(queries, thresholds)))
+        np.testing.assert_array_equal(answers[0], answers[1])
 
     def test_database_size_tracked(self, fitted):
         estimator, split = fitted

@@ -186,3 +186,115 @@ class TestPartitionings:
         for partition in partitioning.partitions:
             counts[partition.point_indices] += 1
         assert np.all(counts == 1)
+
+
+def _reference_indicator(partitioning, queries, thresholds):
+    """The per-region indicator loop: one distance kernel call per region."""
+    out = np.zeros((len(queries), partitioning.num_partitions), dtype=np.float64)
+    for k, partition in enumerate(partitioning.partitions):
+        if partitioning.always_active or not partition.regions:
+            out[:, k] = 1.0
+            continue
+        active = np.zeros(len(queries), dtype=bool)
+        for region in partition.regions:
+            distances = partitioning.distance(region.center, queries)
+            active |= distances <= region.radius + thresholds
+        out[:, k] = active
+    return out
+
+
+def _reference_grid_indicator(partitioning, queries, grid):
+    """Reference indicator over the (query x grid) cross product, ``(n, K, G)``."""
+    n, num_grid = len(queries), len(grid)
+    flat = _reference_indicator(
+        partitioning, np.repeat(queries, num_grid, axis=0), np.tile(grid, n)
+    )
+    return flat.reshape(n, num_grid, partitioning.num_partitions).transpose(0, 2, 1)
+
+
+class TestIndicatorParity:
+    """The distance-table indicator equals the per-region loop bit for bit."""
+
+    @pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("method", ["ct", "km", "rp"])
+    @pytest.mark.parametrize("num_queries", [0, 1, 300])
+    def test_both_threshold_shapes(self, small_data, distance, method, num_queries):
+        partitioning = build_partitioning(
+            method, small_data, num_partitions=4, distance=distance, seed=2
+        )
+        rng = np.random.default_rng(num_queries)
+        queries = small_data[rng.integers(0, len(small_data), size=num_queries)]
+        queries = queries + rng.normal(scale=0.05, size=queries.shape)
+        reach = 0.6 if distance == "cosine" else 2.0
+        thresholds = rng.uniform(0.0, reach, size=num_queries)
+
+        aligned = partitioning.indicator_batch(queries, thresholds)
+        assert aligned.shape == (num_queries, 4)
+        np.testing.assert_array_equal(
+            aligned, _reference_indicator(partitioning, queries, thresholds)
+        )
+
+        grid = np.linspace(0.0, reach, 17)
+        per_grid = partitioning.indicator_batch(
+            queries, np.broadcast_to(grid, (num_queries, len(grid)))
+        )
+        assert per_grid.shape == (num_queries, 4, len(grid))
+        np.testing.assert_array_equal(
+            per_grid, _reference_grid_indicator(partitioning, queries, grid)
+        )
+
+    @pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+    def test_cover_tree_with_empty_partition(self, small_data, distance):
+        # More partitions than the 20 rows have leaf balls: the leftover
+        # partitions hold no region and stay active.
+        partitioning = cover_tree_partitioning(
+            small_data[:20], num_partitions=24, distance=distance, partition_ratio=0.2
+        )
+        assert any(not partition.regions for partition in partitioning.partitions)
+        rng = np.random.default_rng(7)
+        queries = small_data[rng.integers(0, len(small_data), size=50)]
+        thresholds = rng.uniform(0.0, 0.3, size=50)
+        aligned = partitioning.indicator_batch(queries, thresholds)
+        np.testing.assert_array_equal(
+            aligned, _reference_indicator(partitioning, queries, thresholds)
+        )
+        per_row = partitioning.indicator_batch(queries, np.stack([thresholds] * 5, axis=1))
+        np.testing.assert_array_equal(per_row, np.repeat(aligned[:, :, None], 5, axis=2))
+        grid = np.linspace(0.0, 0.3, 9)
+        np.testing.assert_array_equal(
+            partitioning.indicator_batch(queries, np.broadcast_to(grid, (50, 9))),
+            _reference_grid_indicator(partitioning, queries, grid),
+        )
+
+    @pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("method", ["ct", "km"])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1024])
+    def test_thresholds_on_region_boundaries(
+        self, small_data, distance, method, chunk_bytes, monkeypatch
+    ):
+        """``t = d(x, center) - radius`` sits on the edge of each ball, where
+        the comparison flips on the last bit of the distance.  A tiny byte
+        budget splits the rows (Euclidean table, comparisons) and centers
+        (cosine table) into many chunks; the bits must not move."""
+        if chunk_bytes is not None:
+            from repro.index import partitioner as partitioner_module
+
+            monkeypatch.setattr(partitioner_module, "_INDICATOR_CHUNK_BYTES", chunk_bytes)
+        partitioning = build_partitioning(
+            method, small_data, num_partitions=4, distance=distance, seed=3
+        )
+        rng = np.random.default_rng(11)
+        queries = small_data[rng.integers(0, len(small_data), size=40)]
+        queries = queries + rng.normal(scale=0.05, size=queries.shape)
+        regions = [region for partition in partitioning.partitions for region in partition.regions]
+        edges = np.stack(
+            [partitioning.distance(region.center, queries) - region.radius for region in regions],
+            axis=1,
+        )
+        per_edge = partitioning.indicator_batch(queries, edges)
+        for g in range(edges.shape[1]):
+            expected = _reference_indicator(partitioning, queries, edges[:, g])
+            np.testing.assert_array_equal(per_edge[:, :, g], expected)
+            np.testing.assert_array_equal(
+                partitioning.indicator_batch(queries, edges[:, g]), expected
+            )

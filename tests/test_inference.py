@@ -130,6 +130,19 @@ class TestCompiledParity:
                 scale = np.maximum(np.abs(expected), 1.0)
                 assert np.max(np.abs(values[row] - expected) / scale) < 1e-9
 
+    def test_partitioned_curve_columns_equal_direct_predictions(self, tiny_cosine_split):
+        """The cache-fill path answers exactly what the direct path answers:
+        column ``g`` of ``curve_values`` is ``predict`` at ``grid[g]``."""
+        kernel = _fit("selnet", tiny_cosine_split).compiled()
+        assert isinstance(kernel, CompiledPartitionedSelNet)
+        queries = tiny_cosine_split.test.queries
+        grid = np.linspace(0.0, 1.2 * float(tiny_cosine_split.t_max), 33)
+        values = kernel.curve_values(queries, grid)
+        for g, threshold in enumerate(grid):
+            np.testing.assert_array_equal(
+                values[:, g], kernel.predict(queries, np.full(len(queries), threshold))
+            )
+
 
 # ---------------------------------------------------------------------- #
 # Lifecycle: persistence round-trips and incremental updates

@@ -39,6 +39,7 @@ from repro.net import (
 )
 from repro.inference.precision import DEFAULT_ERROR_BUDGETS, relative_deviation
 from repro.net.shm import batch_nbytes
+from repro.serving import InvalidRequestError
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,8 @@ class TestNetworkBackend:
                 cluster.estimate("nope", np.zeros((1, 10)), np.zeros(1))
             with pytest.raises(UpdateNotSupportedError):
                 cluster.update("kde", inserts=np.zeros((1, 10)))
+            with pytest.raises(InvalidRequestError):
+                cluster.estimate("kde", np.zeros((1, 10)), np.full(1, np.inf))
             # The shard survives its own error replies.
             assert cluster.estimate("kde", np.zeros((2, 10)), np.zeros(2)).shape == (2,)
 
@@ -336,6 +339,14 @@ class TestSocketServers:
         http = HttpClient(*net_server.http_address)
         with pytest.raises(KeyError):
             http.estimate("nope", np.zeros((1, 10)), np.zeros(1))
+
+    def test_invalid_request_is_typed_on_the_binary_transport(self, net_server):
+        host, port = net_server.binary_address
+        with BinaryClient(host, port) as client:
+            with pytest.raises(InvalidRequestError, match="finite"):
+                client.estimate("kde", np.zeros((1, 10)), np.full(1, np.nan))
+            # The connection keeps serving after the error reply.
+            assert client.estimate("kde", np.zeros((1, 10)), np.zeros(1)).shape == (1,)
 
     def test_malformed_requests_map_to_4xx(self, net_server):
         host, port = net_server.http_address

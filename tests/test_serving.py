@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import UpdateNotSupportedError, create_estimator
+from repro import SelectivityEstimator, UpdateNotSupportedError, create_estimator
 from repro.cli import main
 from repro.serving import (
     CachedCurve,
     CurveCache,
     EstimationService,
+    InvalidRequestError,
     MicroBatcher,
     iter_microbatches,
     run_serving_benchmark,
@@ -27,6 +28,18 @@ def model_dir(tiny_cosine_split, tmp_path_factory):
     gbdt = create_estimator("lightgbm-m", num_trees=6, seed=0).fit(tiny_cosine_split)
     gbdt.save(directory / "gbdt", metadata={"setting": "face-cos", "scale": "tiny", "seed": 0})
     return directory
+
+
+class _NaNEstimator(SelectivityEstimator):
+    """Answers NaN everywhere: stands in for a model that overflows."""
+
+    _input_dim = 2
+
+    def fit(self, split):
+        return self
+
+    def estimate(self, queries, thresholds):
+        return np.full(len(thresholds), np.nan)
 
 
 class TestCurveCache:
@@ -316,6 +329,45 @@ class TestEstimationService:
         assert abs(served[0] - direct[0]) / max(abs(direct[0]), 1.0) < 0.25
         stats = service.stats()["per_model"]["kde"]
         assert stats["curve_builds"] == 2  # the out-of-range hit forced a rebuild
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_invalid_requests_raise_typed_errors(self, model_dir, tiny_cosine_split, use_cache):
+        service = EstimationService(model_dir)
+        query = tiny_cosine_split.test.queries[:1]
+        nan_query = query.copy()
+        nan_query[0, 0] = np.nan
+        bad_requests = [
+            (query, np.asarray([np.inf]), "thresholds must be finite"),
+            (query, np.asarray([np.nan]), "thresholds must be finite"),
+            (nan_query, np.asarray([0.1]), "queries must be finite"),
+            (query[:, :3], np.asarray([0.1]), "dimensions"),
+            (query, np.asarray([0.1, 0.2]), "aligned"),
+        ]
+        for queries, thresholds, message in bad_requests:
+            with pytest.raises(InvalidRequestError, match=message):
+                service.estimate("kde", queries, thresholds, use_cache=use_cache)
+        assert issubclass(InvalidRequestError, ValueError)  # HTTP 400
+        assert len(service.cache) == 0
+        assert service.stats()["per_model"]["kde"]["requests"] == 0
+
+    def test_rejected_infinite_threshold_leaves_no_trace(self, model_dir, tiny_cosine_split):
+        service = EstimationService(model_dir)
+        query = tiny_cosine_split.test.queries[:1]
+        with pytest.raises(InvalidRequestError):
+            service.estimate("kde", query, np.asarray([np.inf]))
+        threshold = np.asarray([0.5 * float(tiny_cosine_split.t_max)])
+        fresh = EstimationService(model_dir).estimate("kde", query, threshold)
+        np.testing.assert_array_equal(service.estimate("kde", query, threshold), fresh)
+        assert np.all(np.isfinite(fresh))
+
+    def test_non_finite_curves_are_never_cached(self):
+        service = EstimationService()
+        service.add_model("nan", _NaNEstimator())
+        queries = np.zeros((3, 2))
+        assert np.all(np.isnan(service.estimate("nan", queries, np.full(3, 0.5))))
+        service.curves_for_queries("nan", queries)
+        assert len(service.cache) == 0
+        assert service.stats()["per_model"]["nan"]["curve_builds"] == 0
 
     def test_update_routing(self, model_dir, tiny_cosine_split, fast_selnet_config):
         from dataclasses import asdict
